@@ -1,11 +1,13 @@
 # Standard checks for the gqr repo. `make check` is the pre-commit
-# gate: vet + full tests + race on the concurrent packages + the
-# flight-recorder race stress.
+# gate: vet + full tests + the whole module under the race detector +
+# one run of every benchmark. trace-stress, durability, lifecycle and
+# batch-stress are -run subsets of the race run, kept for focused local
+# runs; check does not repeat them.
 GO ?= go
 
-.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke bench-json
+.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke
 
-check: vet test race trace-stress durability lifecycle batch-stress bench-smoke
+check: vet test race bench-smoke
 
 build:
 	$(GO) build ./...
@@ -75,28 +77,8 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Machine-readable ns/op + allocs/op for the evaluation-stage hot path
-# (per-method Search at budget 1000, plain and re-ranked), the vecmath
-# kernels and the build pipeline (whole-build plus train/code/freeze
-# stages per learner, at p=1 and p=GOMAXPROCS), written as JSON for
-# cross-commit perf diffing, plus the quantized re-ranking sweep
-# (m × rerank-factor grid: recall@10, latency, ADC work per query).
-# The documents embed host/run metadata (Go version, GOMAXPROCS, CPU
-# count, commit, whether re-ranking ran) so snapshots are comparable
-# across machines. BENCH_PR9.json, BENCH_PR9_d128.json (the
-# evaluation-heavy d=128 regime) and BENCH_PR9_micro.json in the repo
-# root are the committed snapshots from the re-ranking PR
-# (BENCH_PR6.json: flight-recorder PR, BENCH_PR5.json: parallel-build
-# overhaul, BENCH_PR4.json: evaluation-kernel snapshot).
-# BENCH_PR10.json is the batched-execution snapshot (batch sizes
-# 0/1/8/64/256 × querying methods at d=128, the coalesced-duplicates
-# workload, QPS + p99 per row) from the batch-engine PR.
-bench-json:
-	$(GO) run ./cmd/gqr-bench -json BENCH_PR9_micro.json
-	@cat BENCH_PR9_micro.json
-	$(GO) run ./cmd/gqr-bench -nq 50 -k 10 -rerank BENCH_PR9.json
-	@cat BENCH_PR9.json
-	$(GO) run ./cmd/gqr-bench -nq 50 -k 10 -rerank-dim 128 -rerank BENCH_PR9_d128.json
-	@cat BENCH_PR9_d128.json
-	$(GO) run ./cmd/gqr-bench -nq 256 -k 10 -batch BENCH_PR10.json
-	@cat BENCH_PR10.json
+# Performance measurements come from the repo benchmark, one workload
+# at a time: `bash perfbench/run.sh --workload search-d128 --seed 1`
+# (see perfbench/README.md). The BENCH_PR*.json files in the repo root
+# are frozen snapshots written by since-retired gqr-bench measurement
+# modes (reproduce at commit 6598432); nothing regenerates them.

@@ -229,7 +229,9 @@ func (ix *Index) TraceRecorder() *trace.Recorder { return ix.rec }
 
 // Build trains hash functions on the n×dim row-major block vectors
 // (n = len(vectors)/dim) and indexes every row. The block is retained
-// by reference for evaluation; do not mutate it afterwards.
+// by reference for evaluation; do not mutate it afterwards. The index
+// never writes into the block or its spare capacity: growing the index
+// (Add, recovery replay) copies it first.
 func Build(vectors []float32, dim int, opts ...Option) (*Index, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {

@@ -55,7 +55,9 @@ func BuildP(l hash.Learner, data []float32, n, d, bits, tables int, seed int64, 
 	}
 	procs = vecmath.Procs(procs)
 	l = hash.WithProcs(l, procs)
-	idx := &Index{Dim: d, N: n, Data: data}
+	// Clip capacity: Add appends to Data and must not write into the
+	// caller's spare capacity past the adopted block.
+	idx := &Index{Dim: d, N: n, Data: data[:len(data):len(data)]}
 
 	// Stage 1: train one hasher per table. Tables are independent
 	// (distinct seeds), so they train concurrently; each Train call's

@@ -141,7 +141,7 @@ type Index struct {
 // all n items). Used by loaders and tests; the querying hot path never
 // sees the maps.
 func NewFromBuckets(hashers []hash.Hasher, buckets []map[uint64][]int32, data []float32, n, dim int) *Index {
-	ix := &Index{Dim: dim, N: n, Data: data}
+	ix := &Index{Dim: dim, N: n, Data: data[:len(data):len(data)]} // see BuildP
 	cores := make([]*coreStore, len(hashers))
 	for t, h := range hashers {
 		ix.Tables = append(ix.Tables, &Table{Hasher: h, tail: newTailStore()})

@@ -248,7 +248,7 @@ func Load(r io.Reader, data []float32, dim int) (*Index, error) {
 	if tables == 0 || tables > 1024 {
 		return nil, fmt.Errorf("index: load: implausible table count %d", tables)
 	}
-	ix := &Index{Dim: dim, N: int(n), Data: data}
+	ix := &Index{Dim: dim, N: int(n), Data: data[:len(data):len(data)]} // see BuildP
 	live := n
 	var tombWords []uint64
 	if v3 {

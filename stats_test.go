@@ -1,6 +1,7 @@
 package gqr
 
 import (
+	"reflect"
 	"testing"
 
 	"gqr/internal/query"
@@ -224,5 +225,40 @@ func TestStatsLifecycleCounters(t *testing.T) {
 	}
 	if st.MethodRebuilds != 1 {
 		t.Fatalf("MethodRebuilds = %d, want 1", st.MethodRebuilds)
+	}
+}
+
+// TestSearchStatsMergeCoversEveryCounter sets every SearchStats field
+// to a distinct non-zero value and merges it into a zero value: each
+// count and duration must carry over, EarlyStopped must OR, and the
+// shard-attribution fields must stay untouched. A counter added to
+// SearchStats without being merged fails here.
+func TestSearchStatsMergeCoversEveryCounter(t *testing.T) {
+	shardOnly := map[string]bool{"ShardCount": true, "SlowestShard": true, "SlowestShardTime": true}
+	var src SearchStats
+	sv := reflect.ValueOf(&src).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("SearchStats.%s: unhandled kind %s", sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var dst SearchStats
+	dst.Merge(src)
+	dv := reflect.ValueOf(dst)
+	for i := 0; i < dv.NumField(); i++ {
+		name := dv.Type().Field(i).Name
+		got := dv.Field(i).Interface()
+		want := sv.Field(i).Interface()
+		if shardOnly[name] {
+			want = reflect.Zero(dv.Field(i).Type()).Interface()
+		}
+		if got != want {
+			t.Errorf("after Merge, %s = %v, want %v", name, got, want)
+		}
 	}
 }
