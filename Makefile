@@ -1,13 +1,14 @@
 # Standard checks for the gqr repo. `make check` is the pre-commit
-# gate: vet + full tests + the whole module under the race detector +
-# one run of every benchmark. trace-stress, durability, lifecycle and
-# batch-stress are -run subsets of the race run, kept for focused local
-# runs; check does not repeat them.
+# gate: vet (also for arm64) + full tests + the pure-Go kernel tests +
+# the whole module under the race detector + one run of every
+# benchmark. trace-stress, durability, lifecycle and batch-stress are
+# -run subsets of the race run, kept for focused local runs; check does
+# not repeat them.
 GO ?= go
 
-.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke
+.PHONY: check build vet vet-arm64 test purego race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke
 
-check: vet test race bench-smoke
+check: vet vet-arm64 test purego race bench-smoke
 
 build:
 	$(GO) build ./...
@@ -15,8 +16,19 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The amd64 assembly (internal/vecmath/kernels_amd64.s) has a pure-Go
+# fallback for every other arch and for the purego tag. vet-arm64
+# compiles that fallback and runs vet's checks off amd64; purego runs
+# the kernel, searcher and root-package oracles on it, so the fallback
+# stays correct on a machine that would otherwise always take AVX2.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
+
 test:
 	$(GO) test ./...
+
+purego:
+	$(GO) test -tags purego ./internal/vecmath ./internal/query .
 
 # The query hot path is lock-free (snapshot-based concurrent search),
 # so the whole module must stay race-clean, not just the HTTP layer:
@@ -63,10 +75,13 @@ batch-stress:
 # loader (GQRPUB1/GQRIDX3 streams, seeded with tombstone bitmaps and
 # metadata slabs) and the WAL replayer (add, meta-add and delete
 # frames). Ten seconds each — enough to catch a panic or an unbounded
-# allocation from a hostile length field without stalling CI.
+# allocation from a hostile length field without stalling CI. The
+# third run checks the dispatched distance kernel (AVX2 on amd64)
+# against the pure-Go one bit for bit, over lengths 1–255 and any bound.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

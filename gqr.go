@@ -1075,6 +1075,11 @@ type Stats struct {
 	OPQRotation  bool
 }
 
+// Dim returns the vector dimension, fixed at Build. Unlike Stats it
+// takes no lock, so a caller that only checks a query's length never
+// waits behind a writer.
+func (ix *Index) Dim() int { return ix.live.Dim }
+
 // Stats reports size, occupancy and lifecycle information. It reads
 // the live (writer-side) index, so Items reflects Adds immediately,
 // before the next search republishes the read snapshot.

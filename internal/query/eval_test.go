@@ -190,6 +190,61 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 	}
 }
 
+// withGenericEval runs f with the evaluation stage forced onto the
+// pure-Go kernel and no row prefetch.
+func withGenericEval(f func()) {
+	kernel, prefetch := evalKernel, evalPrefetch
+	evalKernel, evalPrefetch = vecmath.SquaredL2BoundedGeneric, func([]float32, int, []int32) {}
+	defer func() { evalKernel, evalPrefetch = kernel, prefetch }()
+	f()
+}
+
+// TestEvaluationAsmMatchesGeneric checks the evaluation stage's default
+// path (on amd64 the AVX2 kernel and row prefetch) against the pure-Go
+// kernel: on a d=128 index every method must return the same ids,
+// distances, candidates and abandon count.
+func TestEvaluationAsmMatchesGeneric(t *testing.T) {
+	ix, ds := equalityCorpus(t, hash.ITQ{Iterations: 6}, 3000, 128, 10, 2, 515)
+	optSets := []Options{
+		{K: 10},
+		{K: 1},
+		{K: 10, MaxCandidates: 300},
+		{K: 50, MaxBuckets: 20},
+	}
+	abandoned := 0
+	for _, name := range Methods() {
+		m, err := NewMethod(name, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSearcher(ix, m)
+		for oi, opt := range optSets {
+			for qi := 0; qi < ds.NQ(); qi++ {
+				q := ds.Query(qi)
+				got, err := s.Search(q, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want Result
+				withGenericEval(func() { want, err = s.Search(q, opt) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s opt[%d] query %d", name, oi, qi)
+				assertSameResult(t, label, got, want)
+				if got.Stats.Candidates != want.Stats.Candidates || got.Stats.EarlyAbandoned != want.Stats.EarlyAbandoned {
+					t.Fatalf("%s: candidates/abandoned %d/%d, generic %d/%d", label,
+						got.Stats.Candidates, got.Stats.EarlyAbandoned, want.Stats.Candidates, want.Stats.EarlyAbandoned)
+				}
+				abandoned += got.Stats.EarlyAbandoned
+			}
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("no candidate was abandoned: the abandon path went untested")
+	}
+}
+
 // TestEarlyAbandonActuallyFires guards the optimization itself: on a
 // budgeted search with a full heap, the bounded kernel must be cutting
 // distance computations short, otherwise the whole point is lost (and

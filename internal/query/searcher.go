@@ -736,12 +736,28 @@ func (s *Searcher) adcCollectBatch(ids []int32, st *Stats) {
 	s.adcDists, s.adcIDs = dd, di
 }
 
+// The evaluation stage's distance kernel and row prefetch. They are
+// variables only as a test hook: the bit-identity test swaps in the
+// pure-Go kernel and no prefetch; nothing else assigns them.
+var (
+	evalKernel   = vecmath.SquaredL2Bounded
+	evalPrefetch = vecmath.PrefetchRows
+)
+
+// evalPrefetchAhead is how many candidates ahead of the kernel
+// evaluateBatch prefetches rows, in groups of this many. Most
+// candidates abandon within their first 32 dims, so prefetch time is
+// the latency of each row's first cache lines, not its bandwidth.
+const evalPrefetchAhead = 8
+
 // evaluateBatch runs the evaluation stage over one gathered candidate
 // batch: exact squared distances against the top-k heap, four candidate
 // rows per step over the contiguous data slab. The live k-th-best
 // distance is threaded into the bounded kernel as the abandon bound, so
 // once the heap is full most candidates stop after one or two 16-dim
-// blocks instead of finishing their distance.
+// blocks instead of finishing their distance. Every eight rows it
+// prefetches the first two cache lines of the next eight, so their
+// memory latency overlaps the kernel work in between.
 //
 // Early abandonment cannot change the result: the kernel only reports
 // a value above the bound when the true distance provably exceeds the
@@ -751,6 +767,7 @@ func (s *Searcher) adcCollectBatch(ids []int32, st *Stats) {
 // tie-break.
 func (s *Searcher) evaluateBatch(q []float32, ids []int32, st *Stats) {
 	data, dim := s.ix.Data, s.ix.Dim
+	kernel, prefetch := evalKernel, evalPrefetch
 	top := &s.top
 	bound := math.Inf(1)
 	if top.Full() {
@@ -758,6 +775,9 @@ func (s *Searcher) evaluateBatch(q []float32, ids []int32, st *Stats) {
 	}
 	i := 0
 	for ; i+4 <= len(ids); i += 4 {
+		if next := i + evalPrefetchAhead; i%evalPrefetchAhead == 0 && next < len(ids) {
+			prefetch(data, dim, ids[next:min(next+evalPrefetchAhead, len(ids))])
+		}
 		// Resolve the four rows up front: the id indirections issue
 		// early and the distance loops then stream from four known
 		// offsets of one slab.
@@ -769,22 +789,22 @@ func (s *Searcher) evaluateBatch(q []float32, ids []int32, st *Stats) {
 		v1 := data[r1 : r1+dim : r1+dim]
 		v2 := data[r2 : r2+dim : r2+dim]
 		v3 := data[r3 : r3+dim : r3+dim]
-		if d := vecmath.SquaredL2Bounded(q, v0, bound); d > bound {
+		if d := kernel(q, v0, bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i]) && top.Full() {
 			bound = top.Worst()
 		}
-		if d := vecmath.SquaredL2Bounded(q, v1, bound); d > bound {
+		if d := kernel(q, v1, bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i+1]) && top.Full() {
 			bound = top.Worst()
 		}
-		if d := vecmath.SquaredL2Bounded(q, v2, bound); d > bound {
+		if d := kernel(q, v2, bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i+2]) && top.Full() {
 			bound = top.Worst()
 		}
-		if d := vecmath.SquaredL2Bounded(q, v3, bound); d > bound {
+		if d := kernel(q, v3, bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i+3]) && top.Full() {
 			bound = top.Worst()
@@ -793,7 +813,7 @@ func (s *Searcher) evaluateBatch(q []float32, ids []int32, st *Stats) {
 	for ; i < len(ids); i++ {
 		r := int(ids[i]) * dim
 		v := data[r : r+dim : r+dim]
-		if d := vecmath.SquaredL2Bounded(q, v, bound); d > bound {
+		if d := kernel(q, v, bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i]) && top.Full() {
 			bound = top.Worst()

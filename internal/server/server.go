@@ -292,7 +292,7 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	// are bit-identical to a direct search). Malformed ones fall
 	// through to the direct path, whose validation produces the right
 	// error without poisoning a batch's flat block.
-	if h.coal != nil && len(req.Query) == h.ix.Stats().Dim && req.K > 0 {
+	if h.coal != nil && len(req.Query) == h.ix.Dim() && req.K > 0 {
 		key := batchKey{
 			k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
 			radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
@@ -338,7 +338,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	dim := h.ix.Stats().Dim
+	dim := h.ix.Dim()
 	// Flatten only well-formed queries; ragged ones become per-entry
 	// errors instead of failing the whole batch.
 	resp := BatchResponse{Results: make([]BatchEntry, len(req.Queries))}

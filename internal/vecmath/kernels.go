@@ -17,14 +17,14 @@ func SquaredL2(a, b []float32) float64 {
 		d1 := float64(a[i+1]) - float64(b[i+1])
 		d2 := float64(a[i+2]) - float64(b[i+2])
 		d3 := float64(a[i+3]) - float64(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -55,7 +55,23 @@ const boundedBlock = 16
 //
 // With bound = +Inf no check ever fires and the result equals
 // SquaredL2(a, b) exactly.
+//
+// On amd64 with AVX2 the work runs in assembly (kernels_amd64.s) whose
+// four vector lanes are the four accumulators of SquaredL2BoundedGeneric,
+// so every result, completed or abandoned, is bit-identical to it.
 func SquaredL2Bounded(a, b []float32, bound float64) float64 {
+	if useAVX2 && len(a) == len(b) {
+		return squaredL2BoundedAVX2(a, b, bound)
+	}
+	return SquaredL2BoundedGeneric(a, b, bound)
+}
+
+// SquaredL2BoundedGeneric is the pure-Go SquaredL2Bounded: the fallback
+// on every other platform and the oracle the assembly is tested against.
+// The float64(d*d) conversions forbid the compiler from fusing a
+// multiply and add into an FMA (it may on arm64 or GOAMD64=v3), which
+// would round differently from the assembly.
+func SquaredL2BoundedGeneric(a, b []float32, bound float64) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: SquaredL2Bounded length mismatch")
 	}
@@ -68,10 +84,10 @@ func SquaredL2Bounded(a, b []float32, bound float64) float64 {
 			d1 := float64(a[j+1]) - float64(b[j+1])
 			d2 := float64(a[j+2]) - float64(b[j+2])
 			d3 := float64(a[j+3]) - float64(b[j+3])
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
 		}
 		if s0+s1+s2+s3 > bound {
 			return s0 + s1 + s2 + s3
@@ -82,14 +98,14 @@ func SquaredL2Bounded(a, b []float32, bound float64) float64 {
 		d1 := float64(a[i+1]) - float64(b[i+1])
 		d2 := float64(a[i+2]) - float64(b[i+2])
 		d3 := float64(a[i+3]) - float64(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -113,23 +129,6 @@ func Dot(a, b []float32) float64 {
 		s0 += float64(a[i]) * float64(b[i])
 	}
 	return s0 + s1 + s2 + s3
-}
-
-// Norm returns the Euclidean norm of a. Unrolled four-wide like
-// SquaredL2.
-func Norm(a []float32) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += float64(a[i]) * float64(a[i])
-		s1 += float64(a[i+1]) * float64(a[i+1])
-		s2 += float64(a[i+2]) * float64(a[i+2])
-		s3 += float64(a[i+3]) * float64(a[i+3])
-	}
-	for ; i < len(a); i++ {
-		s0 += float64(a[i]) * float64(a[i])
-	}
-	return math.Sqrt(s0 + s1 + s2 + s3)
 }
 
 // Norm64 returns the Euclidean norm of a float64 vector.

@@ -1,0 +1,15 @@
+//go:build !amd64 || purego
+
+package vecmath
+
+// useAVX2 is false off amd64 and under the purego tag: SquaredL2Bounded
+// runs the pure-Go kernel.
+const useAVX2 = false
+
+func squaredL2BoundedAVX2(a, b []float32, bound float64) float64 {
+	return SquaredL2BoundedGeneric(a, b, bound)
+}
+
+// PrefetchRows is a no-op here; on amd64 it prefetches the first two
+// cache lines of each row ids[j] of the row-major slab data.
+func PrefetchRows(data []float32, dim int, ids []int32) {}

@@ -63,16 +63,13 @@ func TestDotAndNorm(t *testing.T) {
 	if d := Dot(a, b); d != 12 {
 		t.Fatalf("Dot = %g, want 12", d)
 	}
-	if n := Norm([]float32{3, 4}); n != 5 {
-		t.Fatalf("Norm = %g, want 5", n)
-	}
 	if n := Norm64([]float64{3, 4}); n != 5 {
 		t.Fatalf("Norm64 = %g, want 5", n)
 	}
 }
 
-// referenceDot/referenceNorm are the pre-unroll single-accumulator
-// kernels; the unrolled versions must agree to float64 rounding.
+// referenceDot is the pre-unroll single-accumulator kernel; the
+// unrolled Dot must agree with it to float64 rounding.
 func referenceDot(a, b []float32) float64 {
 	var s float64
 	for i, v := range a {
@@ -94,11 +91,7 @@ func TestDotNormUnrolledMatchReference(t *testing.T) {
 		}
 		ref = referenceDot(a, b)
 		scale := math.Abs(ref) + 1
-		if math.Abs(Dot(a, b)-ref) > 1e-12*scale {
-			return false
-		}
-		nref := math.Sqrt(referenceDot(a, a))
-		return math.Abs(Norm(a)-nref) <= 1e-12*(nref+1)
+		return math.Abs(Dot(a, b)-ref) <= 1e-12*scale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -194,10 +187,47 @@ func TestSquaredL2BoundedAdversarialNearBound(t *testing.T) {
 	}
 }
 
+// blockSums returns the partial sums SquaredL2Bounded compares against
+// its bound, one per complete 16-dim block. The kernel's accumulation
+// order makes each the exact SquaredL2 of the prefix.
+func blockSums(a, b []float32) []float64 {
+	var sums []float64
+	for end := boundedBlock; end <= len(a); end += boundedBlock {
+		sums = append(sums, SquaredL2(a[:end], b[:end]))
+	}
+	return sums
+}
+
+// edgeBounds are the bounds every bit-identity check covers besides its
+// own: zero, +Inf, -Inf, NaN, two subnormals, and each block sum and the
+// float64 one ulp below it (the kernel abandons at exactly that block).
+func edgeBounds(a, b []float32) []float64 {
+	bounds := []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, 1e-310}
+	for _, s := range blockSums(a, b) {
+		bounds = append(bounds, s, math.Nextafter(s, math.Inf(-1)))
+	}
+	return bounds
+}
+
+// checkBitIdentical asserts that the dispatched SquaredL2Bounded (the
+// assembly kernel where the CPU has it) returns the same float64 bits as
+// the pure-Go kernel.
+func checkBitIdentical(t *testing.T, a, b []float32, bound float64) {
+	t.Helper()
+	got, want := SquaredL2Bounded(a, b, bound), SquaredL2BoundedGeneric(a, b, bound)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("n=%d bound=%g: dispatched %g (%#x) != generic %g (%#x)",
+			len(a), bound, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
 func FuzzSquaredL2Bounded(f *testing.F) {
 	f.Add(uint8(8), int64(1), float64(0.5))
 	f.Add(uint8(33), int64(9), float64(0))
 	f.Add(uint8(64), int64(3), math.Inf(1))
+	f.Add(uint8(255), int64(5), float64(1e-310))
+	f.Add(uint8(17), int64(2), math.SmallestNonzeroFloat64)
+	f.Add(uint8(131), int64(8), float64(40))
 	f.Fuzz(func(t *testing.T, n uint8, seed int64, bound float64) {
 		if n == 0 {
 			n = 1
@@ -208,6 +238,9 @@ func FuzzSquaredL2Bounded(f *testing.F) {
 		for i := range a {
 			a[i] = float32(rng.NormFloat64())
 			b[i] = float32(rng.NormFloat64())
+		}
+		for _, eb := range append(edgeBounds(a, b), bound) {
+			checkBitIdentical(t, a, b, eb)
 		}
 		if math.IsNaN(bound) {
 			bound = 0
@@ -224,6 +257,30 @@ func FuzzSquaredL2Bounded(f *testing.F) {
 			t.Fatalf("bound %g: partial %g not a lower bound of %g", bound, r, exact)
 		}
 	})
+}
+
+func TestSquaredL2BoundedDispatchMatchesGenericAllDims(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 kernel on this platform: dispatch is the generic kernel")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 160; n++ {
+		for trial := 0; trial < 4; trial++ {
+			a := make([]float32, n)
+			b := make([]float32, n)
+			for i := range a {
+				// Mixed magnitudes, so rounding differs per lane and an
+				// accumulator mix-up cannot cancel out.
+				a[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+				b[i] = float32(rng.NormFloat64())
+			}
+			exact := SquaredL2(a, b)
+			bounds := append(edgeBounds(a, b), exact, math.Nextafter(exact, 0), exact/2, exact*0.99)
+			for _, bound := range bounds {
+				checkBitIdentical(t, a, b, bound)
+			}
+		}
+	}
 }
 
 func TestArgNearestExhaustive(t *testing.T) {
@@ -302,32 +359,36 @@ func benchKernelVecs(n int, seed int64) (x, y []float32) {
 	return x, y
 }
 
+// benchBoundedKernels runs one bounded-kernel benchmark on the pure-Go
+// kernel and on the dispatched one (the assembly where the CPU has it).
+func benchBoundedKernels(b *testing.B, x, y []float32, bound float64) {
+	for _, k := range []struct {
+		name string
+		fn   func(a, b []float32, bound float64) float64
+	}{{"generic", SquaredL2BoundedGeneric}, {"dispatch", SquaredL2Bounded}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += k.fn(x, y, bound)
+			}
+			benchSink = sink
+		})
+	}
+}
+
 func BenchmarkSquaredL2BoundedDim128Complete(b *testing.B) {
 	// Bound above the distance: the kernel always runs to completion, so
 	// this measures the pure overhead of the blockwise checks.
 	x, y := benchKernelVecs(128, 3)
-	bound := SquaredL2(x, y) + 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += SquaredL2Bounded(x, y, bound)
-	}
-	benchSink = sink
+	benchBoundedKernels(b, x, y, SquaredL2(x, y)+1)
 }
 
 func BenchmarkSquaredL2BoundedDim128Abandon(b *testing.B) {
 	// Tight bound: the kernel abandons after the first block — the
 	// steady-state case once the top-k heap is full of near neighbors.
 	x, y := benchKernelVecs(128, 4)
-	bound := SquaredL2(x[:16], y[:16]) / 2
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += SquaredL2Bounded(x, y, bound)
-	}
-	benchSink = sink
+	benchBoundedKernels(b, x, y, SquaredL2(x[:16], y[:16])/2)
 }
 
 func BenchmarkDotDim32(b *testing.B) {
@@ -337,17 +398,6 @@ func BenchmarkDotDim32(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += Dot(x, y)
-	}
-	benchSink = sink
-}
-
-func BenchmarkNormDim32(b *testing.B) {
-	x, _ := benchKernelVecs(32, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += Norm(x)
 	}
 	benchSink = sink
 }
