@@ -19,8 +19,9 @@ vet:
 # The amd64 assembly (internal/vecmath/kernels_amd64.s) has a pure-Go
 # fallback for every other arch and for the purego tag. vet-arm64
 # compiles that fallback and runs vet's checks off amd64; purego runs
-# the kernel, searcher and root-package oracles on it, so the fallback
-# stays correct on a machine that would otherwise always take AVX2.
+# the kernel, k-means, PQ, KMH, searcher and root-package oracles on
+# it, so the fallback stays correct on a machine that would otherwise
+# always take AVX2.
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -28,7 +29,7 @@ test:
 	$(GO) test ./...
 
 purego:
-	$(GO) test -tags purego ./internal/vecmath ./internal/query .
+	$(GO) test -tags purego ./internal/vecmath ./internal/cluster ./internal/quantization ./internal/hash ./internal/query .
 
 # The query hot path is lock-free (snapshot-based concurrent search),
 # so the whole module must stay race-clean, not just the HTTP layer:
@@ -77,11 +78,14 @@ batch-stress:
 # frames). Ten seconds each — enough to catch a panic or an unbounded
 # allocation from a hostile length field without stalling CI. The
 # third run checks the dispatched distance kernel (AVX2 on amd64)
-# against the pure-Go one bit for bit, over lengths 1–255 and any bound.
+# against the pure-Go one bit for bit, over lengths 1–255 and any bound;
+# the fourth checks the packed nearest-centroid kernel, dispatched and
+# pure-Go, against the row-by-row scan over d 1–130 and k 1–600.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzNearestCenter -fuzztime=10s -run '^$$' ./internal/vecmath
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

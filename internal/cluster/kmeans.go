@@ -92,8 +92,10 @@ func KMeansP(data []float32, n, dims, k, iters int, rng *rand.Rand, procs int) (
 	assign := make([]int, n)
 	counts := make([]int, k)
 	sums := make([]float64, k*dims)
+	var packed vecmath.Centers
 	for it := 0; it < iters; it++ {
-		changed := assignPoints(data, n, dims, centroids, k, assign, it == 0, procs)
+		packed.Pack(centroids, k, dims)
+		changed := assignPoints(data, n, dims, &packed, assign, it == 0, procs)
 		if !changed {
 			break
 		}
@@ -115,17 +117,17 @@ func KMeansP(data []float32, n, dims, k, iters int, rng *rand.Rand, procs int) (
 	return centroids, nil
 }
 
-// assignPoints sets assign[i] to the nearest centroid of every point,
-// splitting the points across up to procs workers, and reports whether
-// any assignment changed (always true when force is set). Each entry is
-// an independent computation, so the result is identical at any
-// parallelism.
-func assignPoints(data []float32, n, dims int, centroids []float32, k int, assign []int, force bool, procs int) bool {
+// assignPoints sets assign[i] to the nearest of the packed centroids
+// for every point, splitting the points across up to procs workers,
+// and reports whether any assignment changed (always true when force
+// is set). Each entry is an independent computation, so the result is
+// identical at any parallelism.
+func assignPoints(data []float32, n, dims int, centers *vecmath.Centers, assign []int, force bool, procs int) bool {
 	var changed atomic.Bool
 	vecmath.ParallelRanges(n, procs, func(lo, hi int) {
 		local := false
 		for i := lo; i < hi; i++ {
-			best, _ := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+			best, _ := centers.Nearest(data[i*dims : (i+1)*dims])
 			if assign[i] != best || force {
 				assign[i] = best
 				local = true
@@ -173,9 +175,10 @@ func AccumulateByCentroid(data []float32, n, dims int, assign []int, counts []in
 // its nearest centroid — the k-means objective, used by tests to check
 // that training actually descends.
 func QuantizationError(data []float32, n, dims int, centroids []float32, k int) float64 {
+	packed := vecmath.PackCenters(centroids, k, dims)
 	var total float64
 	for i := 0; i < n; i++ {
-		_, d := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+		_, d := packed.Nearest(data[i*dims : (i+1)*dims])
 		total += d
 	}
 	return total / float64(n)

@@ -29,8 +29,9 @@ func TestKMeansRecoversSeparatedBlobs(t *testing.T) {
 	}
 	// Every point must be within 5 of its centroid (blobs are 20 apart
 	// with stddev 0.5).
+	packed := vecmath.PackCenters(centroids, k, dims)
 	for i := 0; i < n; i++ {
-		_, d := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+		_, d := packed.Nearest(data[i*dims : (i+1)*dims])
 		if d > 25 {
 			t.Fatalf("point %d has squared distance %g to nearest centroid", i, d)
 		}

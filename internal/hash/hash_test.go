@@ -326,7 +326,7 @@ func TestKMHCodeIsNearestCodeword(t *testing.T) {
 			k := 1 << uint(kh.bitsPerSS)
 			idx := int(code>>uint(s*kh.bitsPerSS)) & (k - 1)
 			xs := x[sub.offset : sub.offset+sub.dims]
-			best, _ := vecmath.ArgNearest(xs, sub.centroids, k, sub.dims)
+			best, _ := vecmath.PackCenters(sub.centroids, k, sub.dims).Nearest(xs)
 			if idx != best {
 				t.Fatalf("subspace %d: code index %d but nearest codeword %d", s, idx, best)
 			}

@@ -48,9 +48,16 @@ type KMH struct {
 func (KMH) Name() string { return "kmh" }
 
 type kmhSubspace struct {
-	dims      int       // dimensions in this subspace
-	offset    int       // starting dimension in the full vector
-	centroids []float32 // 2^b rows of length dims
+	dims      int              // dimensions in this subspace
+	offset    int              // starting dimension in the full vector
+	centroids []float32        // 2^b rows of length dims
+	packed    *vecmath.Centers // centroids packed for Code; not serialized
+}
+
+// newKMHSubspace wraps a trained or unmarshalled codebook of k rows.
+func newKMHSubspace(dims, offset int, centroids []float32, k int) kmhSubspace {
+	packed := vecmath.PackCenters(centroids, k, dims)
+	return kmhSubspace{dims: dims, offset: offset, centroids: centroids, packed: packed}
 }
 
 // kmhHasher holds no mutable state after training (per-subspace
@@ -104,13 +111,10 @@ func (t KMH) Train(data []float32, n, d, bits int, seed int64) (Hasher, error) {
 		if s < d%m {
 			dims++
 		}
-		subs[s] = kmhSubspace{dims: dims, offset: offset}
-		offset += dims
-
 		// Extract the subspace view of the training data.
 		sub := make([]float32, n*dims)
 		for i := 0; i < n; i++ {
-			copy(sub[i*dims:(i+1)*dims], data[i*d+subs[s].offset:i*d+subs[s].offset+dims])
+			copy(sub[i*dims:(i+1)*dims], data[i*d+offset:i*d+offset+dims])
 		}
 		centroids, err := cluster.KMeansP(sub, n, dims, k, iters, rng, t.Procs)
 		if err != nil {
@@ -127,7 +131,8 @@ func (t KMH) Train(data []float32, n, d, bits int, seed int64) (Hasher, error) {
 		if lambda > 0 {
 			refineAffinity(sub, n, dims, centroids, k, lambda, sweeps, t.Procs)
 		}
-		subs[s].centroids = centroids
+		subs[s] = newKMHSubspace(dims, offset, centroids, k)
+		offset += dims
 	}
 	return &kmhHasher{bits: bits, bitsPerSS: b, dim: d, subs: subs}, nil
 }
@@ -140,10 +145,8 @@ func (h *kmhHasher) Code(x []float32) uint64 {
 		panic(fmt.Sprintf("hash: vector dim %d != trained dim %d", len(x), h.dim))
 	}
 	var code uint64
-	k := 1 << uint(h.bitsPerSS)
 	for s, sub := range h.subs {
-		xs := x[sub.offset : sub.offset+sub.dims]
-		best, _ := vecmath.ArgNearest(xs, sub.centroids, k, sub.dims)
+		best, _ := sub.packed.Nearest(x[sub.offset : sub.offset+sub.dims])
 		code |= uint64(best) << uint(s*h.bitsPerSS)
 	}
 	return code

@@ -94,11 +94,13 @@ func refineAffinity(data []float32, n, dims int, centroids []float32, k int, lam
 	// at any dataset size.
 	norm := 1 / float64(n)
 
+	var packed vecmath.Centers
 	for sweep := 0; sweep < sweeps; sweep++ {
 		// Assignment step (standard nearest-centroid).
+		packed.Pack(centroids, k, dims)
 		vecmath.ParallelRanges(n, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				best, _ := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+				best, _ := packed.Nearest(data[i*dims : (i+1)*dims])
 				assign[i] = best
 			}
 		})

@@ -63,8 +63,9 @@ func TestRefineAffinityReducesAffinityError(t *testing.T) {
 
 func assignCounts(data []float32, n, dims int, centroids []float32, k int) []int {
 	counts := make([]int, k)
+	packed := vecmath.PackCenters(centroids, k, dims)
 	for i := 0; i < n; i++ {
-		best, _ := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+		best, _ := packed.Nearest(data[i*dims : (i+1)*dims])
 		counts[best]++
 	}
 	return counts

@@ -159,10 +159,10 @@ func Unmarshal(data []byte) (Hasher, error) {
 			if err != nil {
 				return nil, err
 			}
-			if len(cents) != (1<<bps)*int(dims) {
-				return nil, fmt.Errorf("hash: unmarshal: kmh subspace %d codebook size %d", i, len(cents))
+			if dims == 0 || len(cents) != (1<<bps)*int(dims) {
+				return nil, fmt.Errorf("hash: unmarshal: kmh subspace %d codebook size %d for %d dims", i, len(cents), dims)
 			}
-			subs[i] = kmhSubspace{dims: int(dims), offset: int(off), centroids: cents}
+			subs[i] = newKMHSubspace(int(dims), int(off), cents, 1<<bps)
 		}
 		return &kmhHasher{bits: int(bits), bitsPerSS: int(bps), dim: int(dim), subs: subs}, nil
 	default:

@@ -1,6 +1,7 @@
 package hash
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -87,5 +88,15 @@ func TestUnmarshalRejectsInconsistentKMH(t *testing.T) {
 	blob[1] = 63
 	if _, err := Unmarshal(blob); err == nil {
 		t.Fatal("inconsistent kmh header must be rejected")
+	}
+	// A zero-dimension subspace with its (consistently empty) codebook.
+	var buf bytes.Buffer
+	buf.WriteByte(tagKMH)
+	for _, v := range []uint32{2, 2, 8, 1, 0, 0} { // bits bps dim subs; dims offset
+		writeU32(&buf, v)
+	}
+	writeF32s(&buf, nil)
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
+		t.Fatal("zero-dimension kmh subspace must be rejected")
 	}
 }

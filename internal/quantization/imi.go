@@ -22,7 +22,8 @@ type IMI struct {
 
 	halfOff   [2]int
 	halfWidth [2]int
-	coarse    [2][]float32 // K×width coarse codebooks per half
+	coarse    [2][]float32        // K×width coarse codebooks per half
+	packed    [2]*vecmath.Centers // coarse codebooks packed for assignment
 
 	cells     [][]int32 // K*K inverted lists
 	fineCodes []uint16  // n×M fine codes for ADC
@@ -88,6 +89,7 @@ func BuildIMI(data []float32, n, d int, cfg IMIConfig) (*IMI, error) {
 			return nil, fmt.Errorf("quantization: coarse codebook %d: %w", h, err)
 		}
 		imi.coarse[h] = cb
+		imi.packed[h] = vecmath.PackCenters(cb, kCoarse, w)
 	}
 
 	// Rotate the whole dataset once for assignment and encoding.
@@ -101,8 +103,8 @@ func BuildIMI(data []float32, n, d int, cfg IMIConfig) (*IMI, error) {
 	imi.fineCodes = make([]uint16, 0, n*cfg.M)
 	for i := 0; i < n; i++ {
 		row := rotated[i*d : (i+1)*d]
-		u, _ := vecmath.ArgNearest(row[imi.halfOff[0]:imi.halfOff[0]+imi.halfWidth[0]], imi.coarse[0], kCoarse, imi.halfWidth[0])
-		v, _ := vecmath.ArgNearest(row[imi.halfOff[1]:imi.halfOff[1]+imi.halfWidth[1]], imi.coarse[1], kCoarse, imi.halfWidth[1])
+		u, _ := imi.packed[0].Nearest(row[imi.halfOff[0] : imi.halfOff[0]+imi.halfWidth[0]])
+		v, _ := imi.packed[1].Nearest(row[imi.halfOff[1] : imi.halfOff[1]+imi.halfWidth[1]])
 		cell := u*kCoarse + v
 		imi.cells[cell] = append(imi.cells[cell], int32(i))
 		imi.fineCodes = opq.PQ.Encode(row, imi.fineCodes)

@@ -17,11 +17,21 @@ import (
 // contiguous subspaces, each with its own codebook of K centroids
 // trained by k-means. A vector is encoded as M centroid indices.
 type PQ struct {
-	M         int         // number of subspaces
-	K         int         // centroids per subspace
-	Dim       int         // total dimensionality
-	offsets   []int       // M+1 subspace boundaries
-	codebooks [][]float32 // per subspace: K×width row-major centroids
+	M         int               // number of subspaces
+	K         int               // centroids per subspace
+	Dim       int               // total dimensionality
+	offsets   []int             // M+1 subspace boundaries
+	codebooks [][]float32       // per subspace: K×width row-major centroids
+	packed    []vecmath.Centers // codebooks packed for encoding; not serialized
+}
+
+// pack builds the packed copy of the codebooks that encoding searches.
+// Every constructor calls it once the codebooks are final.
+func (pq *PQ) pack() {
+	pq.packed = make([]vecmath.Centers, pq.M)
+	for s, cb := range pq.codebooks {
+		pq.packed[s].Pack(cb, pq.K, pq.width(s))
+	}
 }
 
 // TrainPQ learns a product quantizer from the n×d block.
@@ -57,6 +67,7 @@ func TrainPQ(data []float32, n, d, m, k, iters int, seed int64) (*PQ, error) {
 		off += w
 	}
 	pq.offsets[m] = off
+	pq.pack()
 	return pq, nil
 }
 
@@ -68,10 +79,8 @@ func (pq *PQ) Encode(x []float32, dst []uint16) []uint16 {
 	if len(x) != pq.Dim {
 		panic(fmt.Sprintf("quantization: vector dim %d != %d", len(x), pq.Dim))
 	}
-	for s := 0; s < pq.M; s++ {
-		w := pq.width(s)
-		xs := x[pq.offsets[s] : pq.offsets[s]+w]
-		best, _ := vecmath.ArgNearest(xs, pq.codebooks[s], pq.K, w)
+	for s := range pq.packed {
+		best, _ := pq.packed[s].Nearest(x[pq.offsets[s]:pq.offsets[s+1]])
 		dst = append(dst, uint16(best))
 	}
 	return dst

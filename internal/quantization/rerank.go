@@ -75,6 +75,7 @@ func TrainPQP(data []float32, n, d, m, k, iters int, seed int64, procs int) (*PQ
 		off += w
 	}
 	pq.offsets[m] = off
+	pq.pack()
 	return pq, nil
 }
 
@@ -227,10 +228,8 @@ func (rr *Reranker) EncodeTo(x []float32, dst []uint8, rot []float32) {
 		rr.rotate(x, rot)
 		x = rot
 	}
-	for s := 0; s < pq.M; s++ {
-		w := pq.width(s)
-		xs := x[pq.offsets[s] : pq.offsets[s]+w]
-		best, _ := vecmath.ArgNearest(xs, pq.codebooks[s], pq.K, w)
+	for s := range dst {
+		best, _ := pq.packed[s].Nearest(x[pq.offsets[s]:pq.offsets[s+1]])
 		dst[s] = uint8(best)
 	}
 }
@@ -472,6 +471,7 @@ func UnmarshalReranker(data []byte) (*Reranker, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("quantization: unmarshal: trailing data")
 	}
+	out.pq.pack()
 	return out, nil
 }
 

@@ -139,29 +139,3 @@ func Norm64(a []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// ArgNearest returns the index of the row of centers (k rows of dimension
-// d, row-major) nearest to x in squared Euclidean distance, along with
-// that distance. It is the inner loop of k-means and of PQ encoding.
-func ArgNearest(x []float32, centers []float32, k, d int) (best int, bestDist float64) {
-	if len(x) != d || len(centers) != k*d {
-		panic("vecmath: ArgNearest shape mismatch")
-	}
-	bestDist = math.Inf(1)
-	for c := 0; c < k; c++ {
-		row := centers[c*d : (c+1)*d]
-		var s float64
-		for j, v := range row {
-			diff := float64(x[j]) - float64(v)
-			s += diff * diff
-			if s >= bestDist {
-				break
-			}
-		}
-		if s < bestDist {
-			bestDist = s
-			best = c
-		}
-	}
-	return best, bestDist
-}

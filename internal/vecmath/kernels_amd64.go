@@ -44,3 +44,12 @@ func squaredL2BoundedAVX2(a, b []float32, bound float64) float64
 //
 //go:noescape
 func PrefetchRows(data []float32, dim int, ids []int32)
+
+// nearestAVX2 is the lane loop of nearestGeneric in AVX2 assembly over
+// a packed codebook (len(packed) a multiple of 4·len(x), len(x) ≥ 1
+// unless packed is empty): mins[l] gets the smallest distance among
+// centroids 4b+l (+Inf if none is below it) and blks[l] the first such
+// b.
+//
+//go:noescape
+func nearestAVX2(x, packed []float32, mins *[4]float64, blks *[4]int64)

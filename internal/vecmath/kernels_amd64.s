@@ -131,3 +131,106 @@ done:
 	VMOVSD X5, ret+56(FP)
 	VZEROUPPER
 	RET
+
+// Lane l of S is the distance of centroid 4b+l of the block just summed,
+// b the block index in every lane of Y11. Where S < Y9 (ordered: a NaN
+// distance never takes), the lane's minimum Y9 and its block index Y10
+// take the new values; strict <, so within a lane the first index
+// wins. Then Y11 steps to the next block (Y12 holds -1).
+#define TAKEMIN(S) \
+	VCMPPD    $0x11, Y9, S, Y13;   \
+	VBLENDVPD Y13, S, Y9, Y9;      \
+	VBLENDVPD Y13, Y11, Y10, Y10;  \
+	VPSUBQ    Y12, Y11, Y11
+
+// One dimension of one block: Yacc += (x[j] - c)² per lane, with x[j]
+// broadcast in Y4 and c the block's four float32 coordinates j at
+// addr. Separate VMULPD and VADDPD, never FMA, so each lane rounds as
+// s += float64(diff*diff) does.
+#define DIMSTEP(addr, Yt, Yacc) \
+	VCVTPS2PD addr, Yt;   \
+	VSUBPD    Yt, Y4, Yt; \
+	VMULPD    Yt, Yt, Yt; \
+	VADDPD    Yt, Yacc, Yacc
+
+// func nearestAVX2(x, packed []float32, mins *[4]float64, blks *[4]int64)
+//
+// The lane sums of nearestGeneric (nearest.go) over the packed
+// codebook, four blocks (16 centroids) per pass for instruction-level
+// parallelism, then one block at a time. Lane l ends with the smallest
+// distance among centroids 4b+l in mins[l] and its b in blks[l];
+// Centers.Nearest reduces the four lanes.
+TEXT ·nearestAVX2(SB), NOSPLIT, $0-64
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHLQ $2, CX                  // 4d: byte length of x
+	MOVQ packed_base+24(FP), DI
+	MOVQ packed_len+32(FP), BX
+	LEAQ (DI)(BX*4), BX          // end of the packed codebook
+	MOVQ CX, DX
+	SHLQ $2, DX                  // 16d: byte stride of a block
+	MOVQ DX, R14
+	SHLQ $2, R14                 // stride of four blocks
+	MOVQ mins+48(FP), R8
+	MOVQ blks+56(FP), R9
+
+	MOVQ         $0x7FF0000000000000, AX
+	VMOVQ        AX, X9
+	VBROADCASTSD X9, Y9          // lane minima: +Inf
+	VPXOR        Y10, Y10, Y10   // block index of each lane minimum
+	VPXOR        Y11, Y11, Y11   // current block index
+	VPCMPEQQ     Y12, Y12, Y12   // -1 in every lane
+
+quadBlocks:
+	MOVQ BX, AX
+	SUBQ DI, AX
+	CMPQ AX, R14
+	JLT  oneBlock
+	LEAQ (DI)(DX*1), R11
+	LEAQ (DI)(DX*2), R12
+	LEAQ (R11)(DX*2), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX                // 4j: byte offset of x[j]; 16j in a block
+
+quadDims:
+	VBROADCASTSS (SI)(AX*1), X4
+	VCVTPS2PD    X4, Y4
+	DIMSTEP((DI)(AX*4), Y5, Y0)
+	DIMSTEP((R11)(AX*4), Y6, Y1)
+	DIMSTEP((R12)(AX*4), Y7, Y2)
+	DIMSTEP((R13)(AX*4), Y8, Y3)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  quadDims
+	TAKEMIN(Y0)
+	TAKEMIN(Y1)
+	TAKEMIN(Y2)
+	TAKEMIN(Y3)
+	ADDQ R14, DI
+	JMP  quadBlocks
+
+oneBlock:
+	CMPQ   DI, BX
+	JGE    nearestDone
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+
+oneDims:
+	VBROADCASTSS (SI)(AX*1), X4
+	VCVTPS2PD    X4, Y4
+	DIMSTEP((DI)(AX*4), Y5, Y0)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  oneDims
+	TAKEMIN(Y0)
+	ADDQ DX, DI
+	JMP  oneBlock
+
+nearestDone:
+	VMOVUPD Y9, (R8)
+	VMOVDQU Y10, (R9)
+	VZEROUPPER
+	RET

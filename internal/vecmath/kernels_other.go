@@ -13,3 +13,9 @@ func squaredL2BoundedAVX2(a, b []float32, bound float64) float64 {
 // PrefetchRows is a no-op here; on amd64 it prefetches the first two
 // cache lines of each row ids[j] of the row-major slab data.
 func PrefetchRows(data []float32, dim int, ids []int32) {}
+
+// nearestAVX2 is never called here: Centers.Nearest runs nearestGeneric
+// when useAVX2 is false.
+func nearestAVX2(x, packed []float32, mins *[4]float64, blks *[4]int64) {
+	panic("vecmath: no AVX2 kernel on this platform")
+}

@@ -290,12 +290,13 @@ func TestArgNearestExhaustive(t *testing.T) {
 	for i := range centers {
 		centers[i] = float32(rng.NormFloat64())
 	}
+	packed := PackCenters(centers, k, d)
 	for trial := 0; trial < 50; trial++ {
 		x := make([]float32, d)
 		for i := range x {
 			x[i] = float32(rng.NormFloat64())
 		}
-		best, bestDist := ArgNearest(x, centers, k, d)
+		best, bestDist := packed.Nearest(x)
 		// Verify against a plain scan.
 		wantBest, wantDist := -1, math.Inf(1)
 		for c := 0; c < k; c++ {
@@ -306,7 +307,7 @@ func TestArgNearestExhaustive(t *testing.T) {
 			}
 		}
 		if best != wantBest || !almostEqual(bestDist, wantDist, 1e-12) {
-			t.Fatalf("ArgNearest=(%d,%g) want (%d,%g)", best, bestDist, wantBest, wantDist)
+			t.Fatalf("Nearest=(%d,%g) want (%d,%g)", best, bestDist, wantBest, wantDist)
 		}
 	}
 }
@@ -315,9 +316,10 @@ func TestKernelLengthPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"SquaredL2": func() { SquaredL2([]float32{1}, []float32{1, 2}) },
 		"Dot":       func() { Dot([]float32{1}, []float32{1, 2}) },
-		"ArgNearest": func() {
-			ArgNearest([]float32{1}, []float32{1, 2}, 1, 2)
+		"Nearest": func() {
+			PackCenters([]float32{1, 2}, 1, 2).Nearest([]float32{1})
 		},
+		"PackCenters": func() { PackCenters([]float32{1}, 1, 2) },
 	} {
 		func() {
 			defer func() {
