@@ -72,20 +72,29 @@ batch-stress:
 	$(GO) test -race -run 'TestBatch|TestShardedBatch' .
 	$(GO) test -race -run 'TestCoalesc' ./internal/server
 
-# Short fuzz runs over the two untrusted-input parsers: the index
+# Short fuzz runs over the three untrusted-input parsers: the index
 # loader (GQRPUB1/GQRIDX3 streams, seeded with tombstone bitmaps and
-# metadata slabs) and the WAL replayer (add, meta-add and delete
-# frames). Ten seconds each — enough to catch a panic or an unbounded
-# allocation from a hostile length field without stalling CI. The
-# third run checks the dispatched distance kernel (AVX2 on amd64)
-# against the pure-Go one bit for bit, over lengths 1–255 and any bound;
-# the fourth checks the packed nearest-centroid kernel, dispatched and
-# pure-Go, against the row-by-row scan over d 1–130 and k 1–600.
+# metadata slabs), the WAL replayer (add, meta-add and delete frames)
+# and the hasher decoder, whose accepted hashers must also code a
+# vector of their declared dimension. Ten seconds each — enough to
+# catch a panic or an unbounded allocation from a hostile length field
+# without stalling CI. The other runs check the dispatched kernels (AVX2
+# on amd64) bit for bit: the distance kernel against the pure-Go one
+# over lengths 1–255 and any bound; the packed nearest-centroid kernel,
+# dispatched and pure-Go, against the row-by-row scan over d 1–130 and
+# k 1–600; and ITQ's tall-thin kernels — the sign-pass row product,
+# the transpose-free aᵀ·b and the covariance update — against their Go
+# loops over widths 1–64, rows across tile edges, NaN, ±Inf, ±0 and
+# subnormals.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$$' ./internal/hash
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
 	$(GO) test -fuzz=FuzzNearestCenter -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzMulRows -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzMulTP -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzCovariance -fuzztime=10s -run '^$$' ./internal/vecmath
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

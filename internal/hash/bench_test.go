@@ -7,7 +7,8 @@ import (
 
 // Training-cost micro-benchmarks, one per learner, on a 5k×32 block
 // with the experiments' default iteration budgets (Table 2's cost
-// comparison at micro scale).
+// comparison at micro scale), plus the default ITQ learner on a quarter
+// of the search-d128 benchmark workload's 200k×128 block at its 14 bits.
 func BenchmarkTrain(b *testing.B) {
 	const n, d, bits = 5000, 32, 9
 	data := trainData(b, n, d, 99)
@@ -28,6 +29,17 @@ func BenchmarkTrain(b *testing.B) {
 			}
 		})
 	}
+	b.Run("itq-50000x128", func(b *testing.B) {
+		const n, d, bits = 50000, 128, 14
+		data := trainData(b, n, d, 97)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (ITQ{}).Train(data, n, d, bits, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkQueryProjection measures the per-query hashing cost (code +

@@ -217,11 +217,3 @@ func meanOf(data []float32, n, d int) []float64 {
 	}
 	return mean
 }
-
-// signOf returns ±1 matching v ≥ 0, the quantization rule.
-func signOf(v float64) float64 {
-	if v >= 0 {
-		return 1
-	}
-	return -1
-}

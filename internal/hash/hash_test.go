@@ -199,7 +199,10 @@ func TestITQReducesQuantizationError(t *testing.T) {
 		for i := 0; i < n; i++ {
 			ph.Project(data[i*d:(i+1)*d], proj)
 			for _, v := range proj {
-				s := signOf(v)
+				s := -1.0
+				if v >= 0 {
+					s = 1
+				}
 				e += (v - s) * (v - s)
 			}
 		}

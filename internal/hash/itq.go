@@ -46,20 +46,18 @@ func (t ITQ) Train(data []float32, n, d, bits int, seed int64) (Hasher, error) {
 
 	rng := rand.New(rand.NewSource(seed))
 	r := vecmath.RandomRotation(rng, bits)
-	vr := vecmath.MulP(v, r, procs)
+	// One n×bits buffer serves every iteration: each step is one
+	// parallel row pass writing B = sign(V·R) over it, then the
+	// Procrustes update R = argmin ‖B − V·R‖ over orthogonal R, whose
+	// Vᵀ·B never builds Vᵀ.
 	b := vecmath.NewMat(n, bits)
 	for it := 0; it < iters; it++ {
-		// B = sign(V·R).
-		for i := range vr.Data {
-			b.Data[i] = signOf(vr.Data[i])
-		}
-		// R = argmin ‖B − V·R‖ over orthogonal R (Procrustes).
+		vecmath.SignMulP(v, r, b, procs)
 		r = vecmath.ProcrustesP(v, b, procs)
-		vr = vecmath.MulP(v, r, procs)
 	}
 
 	// Fold the rotation into the hashing matrix: p(x) = Rᵀ·E·(x−mean),
 	// so H = Rᵀ·E (bits×d) and Theorem 1 applies directly.
-	h := vecmath.Mul(r.T(), e)
+	h := vecmath.MulTP(r, e, 1)
 	return newProjHasher("itq", h, mean), nil
 }

@@ -99,6 +99,9 @@ func Unmarshal(data []byte) (Hasher, error) {
 		if len(mean) != e.Cols {
 			return nil, fmt.Errorf("hash: unmarshal: mean length %d != dim %d", len(mean), e.Cols)
 		}
+		if e.Rows > MaxBits {
+			return nil, fmt.Errorf("hash: unmarshal: %d sh projection dims > %d", e.Rows, MaxBits)
+		}
 		nf, err := readU32(r)
 		if err != nil {
 			return nil, err
@@ -146,7 +149,11 @@ func Unmarshal(data []byte) (Hasher, error) {
 		if bits < 1 || bits > MaxBits || bps < 1 || bps > maxSubspaceBits || ns == 0 || int(bits) != int(bps)*int(ns) {
 			return nil, fmt.Errorf("hash: unmarshal: inconsistent kmh header bits=%d bps=%d subs=%d", bits, bps, ns)
 		}
+		// Trained subspaces tile [0,dim) in order; anything else would
+		// slice past the input in Code, or declare a dim the blob's
+		// codebooks cannot vouch for.
 		subs := make([]kmhSubspace, ns)
+		var next uint64
 		for i := range subs {
 			var dims, off uint32
 			if dims, err = readU32(r); err != nil {
@@ -162,7 +169,14 @@ func Unmarshal(data []byte) (Hasher, error) {
 			if dims == 0 || len(cents) != (1<<bps)*int(dims) {
 				return nil, fmt.Errorf("hash: unmarshal: kmh subspace %d codebook size %d for %d dims", i, len(cents), dims)
 			}
+			if uint64(off) != next {
+				return nil, fmt.Errorf("hash: unmarshal: kmh subspace %d starts at dim %d, want %d", i, off, next)
+			}
+			next += uint64(dims)
 			subs[i] = newKMHSubspace(int(dims), int(off), cents, 1<<bps)
+		}
+		if next != uint64(dim) {
+			return nil, fmt.Errorf("hash: unmarshal: kmh subspaces cover %d of %d dims", next, dim)
 		}
 		return &kmhHasher{bits: int(bits), bitsPerSS: int(bps), dim: int(dim), subs: subs}, nil
 	default:

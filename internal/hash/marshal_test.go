@@ -3,6 +3,8 @@ package hash
 import (
 	"bytes"
 	"testing"
+
+	"gqr/internal/vecmath"
 )
 
 func TestMarshalRoundTripAllHashers(t *testing.T) {
@@ -98,5 +100,54 @@ func TestUnmarshalRejectsInconsistentKMH(t *testing.T) {
 	writeF32s(&buf, nil)
 	if _, err := Unmarshal(buf.Bytes()); err == nil {
 		t.Fatal("zero-dimension kmh subspace must be rejected")
+	}
+	// A subspace past the declared dimension: accepted, it would slice
+	// out of range in Code.
+	if _, err := Unmarshal(kmhPastDimBlob()); err == nil {
+		t.Fatal("kmh subspace past the declared dim must be rejected")
+	}
+	// Subspaces covering less than the declared dimension: a hostile
+	// dim could then ask callers for vectors of any length.
+	buf.Reset()
+	buf.WriteByte(tagKMH)
+	for _, v := range []uint32{1, 1, 1 << 30, 1, 2, 0} { // bits bps dim subs; dims offset
+		writeU32(&buf, v)
+	}
+	writeF32s(&buf, []float32{0, 0, 1, 1})
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
+		t.Fatal("kmh subspaces short of the declared dim must be rejected")
+	}
+}
+
+// kmhPastDimBlob is a KMH hasher whose one subspace covers dims
+// [100,102) of a 4-dimensional input: bits=bps=1, dim=4, dims=2,
+// offset=100, with a consistent 2×2 codebook.
+func kmhPastDimBlob() []byte {
+	var buf bytes.Buffer
+	buf.WriteByte(tagKMH)
+	for _, v := range []uint32{1, 1, 4, 1, 2, 100} { // bits bps dim subs; dims offset
+		writeU32(&buf, v)
+	}
+	writeF32s(&buf, []float32{0, 0, 1, 1})
+	return buf.Bytes()
+}
+
+func TestUnmarshalRejectsOversizedSH(t *testing.T) {
+	// An SH hasher with more PCA dims than MaxBits: accepted, its
+	// projection would index past its fixed scratch in Code.
+	var buf bytes.Buffer
+	buf.WriteByte(tagSH)
+	rows, cols := MaxBits+1, 2
+	writeMat(&buf, vecmath.NewMat(rows, cols))
+	writeF64s(&buf, make([]float64, cols))
+	writeU32(&buf, 1)                  // one eigenfunction
+	for _, v := range []uint32{0, 1} { // dim k
+		writeU32(&buf, v)
+	}
+	for i := 0; i < 4; i++ { // lo hi eig freq
+		writeF64(&buf, 1)
+	}
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
+		t.Fatal("sh hasher with more than MaxBits projection dims must be rejected")
 	}
 }

@@ -2,8 +2,8 @@
 
 package vecmath
 
-// useAVX2 selects the assembly SquaredL2Bounded. It is set once, before
-// any caller runs, and never written again.
+// useAVX2 selects the assembly kernels of kernels_amd64.s. It is set
+// once, before any caller runs, and never written again.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -53,3 +53,28 @@ func PrefetchRows(data []float32, dim int, ids []int32)
 //
 //go:noescape
 func nearestAVX2(x, packed []float32, mins *[4]float64, blks *[4]int64)
+
+// mulRowsAVX2 is mulRowsGeneric in AVX2 assembly for one group of up to
+// sixteen output columns, w of them live as mask says (see groupMask):
+// rows rows of a (stride lda, k columns) times b (stride ldb) into out
+// (stride ldo), or their signs as signInPlace takes them when sign is
+// set. The caller keeps every access in bounds.
+//
+//go:noescape
+func mulRowsAVX2(a []float64, lda int, b []float64, ldb int, out []float64, ldo, rows, k int, mask *[colGroup]int64, sign bool)
+
+// mulTPAVX2 is one tile of mulTPGeneric in AVX2 assembly: output rows
+// o0 and o1 (one group of up to sixteen columns) gain the products of
+// rows data rows, columns x0 and x1 of a (stride lda), with b (stride
+// ldb). The caller keeps every access in bounds.
+//
+//go:noescape
+func mulTPAVX2(x0, x1 []float64, lda int, b []float64, ldb, rows int, o0, o1 []float64, mask *[colGroup]int64)
+
+// covRowAVX2 is one tile of covRowsGeneric in AVX2 assembly: one row
+// segment o of up to sixteen columns (live as mask says) gains
+// x[i]·b[i][·] for each of rows centered rows i with x[i] != 0, x and b
+// with row stride ld. The caller keeps every access in bounds.
+//
+//go:noescape
+func covRowAVX2(x, b []float64, ld, rows int, o []float64, mask *[colGroup]int64)

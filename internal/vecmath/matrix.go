@@ -69,7 +69,7 @@ func Mul(a, b *Mat) *Mat {
 		panic(fmt.Sprintf("vecmath: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMat(a.Rows, b.Cols)
-	mulRows(a, b, out, 0, a.Rows)
+	mulRows(a, b, out, 0, a.Rows, false)
 	return out
 }
 

@@ -153,7 +153,7 @@ func ParallelWeighted(total, procs int, weight func(i int) float64, fn func(lo, 
 
 // MulP returns the matrix product a·b computed by up to procs workers.
 // The output rows are partitioned into contiguous panels, each owned by
-// exactly one worker and computed with the serial ikj loop, so the
+// exactly one worker and computed by the row kernel mulRows, so the
 // result is bit-for-bit identical to Mul at any parallelism.
 func MulP(a, b *Mat, procs int) *Mat {
 	if a.Cols != b.Rows {
@@ -164,27 +164,9 @@ func MulP(a, b *Mat, procs int) *Mat {
 		procs = 1
 	}
 	ParallelRanges(a.Rows, procs, func(lo, hi int) {
-		mulRows(a, b, out, lo, hi)
+		mulRows(a, b, out, lo, hi, false)
 	})
 	return out
-}
-
-// mulRows computes output rows [lo,hi) of a·b in ikj order (stream
-// through b rows for cache friendliness). The inner loop is branchless:
-// the old `av == 0` skip mispredicted on every element of dense
-// projection matrices and cost more than the multiply-adds it saved
-// (see BenchmarkMul in matrix_test.go).
-func mulRows(a, b, out *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		or := out.Row(i)
-		for k, av := range ar {
-			br := b.Row(k)
-			for j, bv := range br {
-				or[j] += av * bv
-			}
-		}
-	}
 }
 
 // MulBatch32 projects the n×d float32 block through the m×d matrix h
@@ -262,23 +244,7 @@ func CovarianceP(data []float32, n, d, procs int) (cov *Mat, mean []float64) {
 	}
 	// Row a of the upper triangle costs d-a multiply-adds per data row.
 	ParallelWeighted(d, procs, func(a int) float64 { return float64(d - a) }, func(aLo, aHi int) {
-		centered := make([]float64, d)
-		for i := 0; i < n; i++ {
-			row := data[i*d : (i+1)*d]
-			for j := aLo; j < d; j++ {
-				centered[j] = float64(row[j]) - mean[j]
-			}
-			for a := aLo; a < aHi; a++ {
-				ca := centered[a]
-				if ca == 0 {
-					continue
-				}
-				cr := cov.Row(a)
-				for b := a; b < d; b++ {
-					cr[b] += ca * centered[b]
-				}
-			}
-		}
+		covRows(data, n, d, mean, cov, aLo, aHi)
 	})
 	inv := 1 / float64(n-1)
 	for a := 0; a < d; a++ {
@@ -291,14 +257,16 @@ func CovarianceP(data []float32, n, d, procs int) (cov *Mat, mean []float64) {
 	return cov, mean
 }
 
-// ProcrustesP is Procrustes with its two matrix products computed by up
-// to procs workers (the SVD between them is serial). Bit-for-bit
-// identical to Procrustes at any parallelism.
+// ProcrustesP solves the orthogonal Procrustes problem with up to
+// procs workers: it returns the orthogonal matrix R minimizing
+// ‖B − A·R‖_F, i.e. R = U·Vᵀ where AᵀB = U·Σ·Vᵀ. Both A and B must be
+// n×m with n ≥ m; R is m×m. This is the rotation update of ITQ and
+// OPQ. AᵀB is MulTP's transpose-free product and the small SVD between
+// the two products is serial, so R is bit-for-bit independent of procs.
 func ProcrustesP(a, b *Mat, procs int) *Mat {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("vecmath: ProcrustesP shape mismatch")
 	}
-	prod := MulP(a.T(), b, procs) // m×m
-	u, _, v := SVD(prod)
+	u, _, v := SVD(MulTP(a, b, procs)) // m×m
 	return MulP(u, v.T(), procs)
 }

@@ -115,15 +115,5 @@ func SpectralNorm(a *Mat) float64 {
 	return sigma[0]
 }
 
-// Procrustes solves the orthogonal Procrustes problem: it returns the
-// orthogonal matrix R minimizing ‖B − A·R‖_F, i.e. R = U·Vᵀ where
-// AᵀB = U·Σ·Vᵀ. Both A and B must be n×m with n ≥ m; R is m×m. This is
-// the rotation update used by ITQ and OPQ.
-func Procrustes(a, b *Mat) *Mat {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("vecmath: Procrustes shape mismatch")
-	}
-	prod := Mul(a.T(), b) // m×m
-	u, _, v := SVD(prod)
-	return Mul(u, v.T())
-}
+// Procrustes is the single-worker path of ProcrustesP.
+func Procrustes(a, b *Mat) *Mat { return ProcrustesP(a, b, 1) }
